@@ -3,8 +3,13 @@ package qcfe
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/encoding"
+	"repro/internal/qcache"
+	"repro/internal/sqlparse"
 )
 
 // cacheQueries builds a mixed workload over the sysbench schema: exact
@@ -136,6 +141,55 @@ func TestCacheEquivalenceAnalytic(t *testing.T) {
 	st, _ := est.CacheStats()
 	if st.Feature.Hits == 0 || st.Prediction.Hits == 0 {
 		t.Fatalf("expected feature+prediction tier traffic: %+v", st)
+	}
+}
+
+// TestCacheFeatureTierEntryShape pins what a feature-tier entry
+// retains. A learned model's entry carries its per-node rows and the
+// plan's post-order shape but not the planner tree, and pricing the
+// entry equals pricing the tree bit for bit; the analytic model's entry
+// is the tree alone, which it prices directly.
+func TestCacheFeatureTierEntryShape(t *testing.T) {
+	for _, model := range []string{"qppnet", "mscn", "analytic"} {
+		t.Run(model, func(t *testing.T) {
+			est, _ := trainedFixture(t, model)
+			env := est.Environments()[0]
+			est.AttachCache(NewQueryCache(CacheOptions{Shards: 4, Capacity: 256}))
+			c, g := est.Cache(), est.cacheGeneration()
+			for _, sql := range cacheQueries(8) {
+				if _, err := est.EstimateSQL(env, sql); err != nil {
+					t.Fatal(err)
+				}
+				fpr, lits, err := sqlparse.Fingerprint(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fp, ok := c.GetFeatures(qcache.FeatureKey(env.ID, fpr, sqlparse.Signature(lits)), g)
+				if !ok {
+					t.Fatalf("%q: no feature-tier entry", sql)
+				}
+				plan, err := planAnnotated(est.bench.ds, env, sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if model == "analytic" {
+					if fp.Root == nil || fp.Pre != nil || fp.Post != nil || fp.Shape != nil {
+						t.Fatalf("%q: analytic entry must be the plan tree alone", sql)
+					}
+				} else {
+					if fp.Root != nil {
+						t.Fatalf("%q: learned entry retains the planner tree", sql)
+					}
+					if !reflect.DeepEqual(fp.Shape, encoding.PostOrderShape(plan)) || len(fp.Post) != len(fp.Shape) {
+						t.Fatalf("%q: entry shape %v != plan shape %v", sql, fp.Shape, encoding.PostOrderShape(plan))
+					}
+				}
+				m := est.res.Model
+				if got, want := m.PredictFeaturizedBatch([]*encoding.FeaturizedPlan{fp})[0], m.PredictMs(plan); got != want {
+					t.Fatalf("%q: priced from the entry %v != priced from the tree %v", sql, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,10 @@
 // via `qcfe-bench -save`), and serves cost estimates over HTTP, turning
 // the estimator stack's batched inference kernels into throughput by
 // coalescing concurrent single-query requests into micro-batches.
+// Coalescing is self-clocking by default: a lone request is priced the
+// moment it arrives, and requests that queue while a batch is priced
+// form the next batch (-batch-window > 0 instead holds every batch open
+// that long for companions).
 //
 // Usage:
 //
@@ -91,7 +95,7 @@ func main() {
 	artifactPath := flag.String("artifact", "", "path to a model artifact written by CostEstimator.Save / qcfe-bench -save (required unless -tenants)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	maxBatch := flag.Int("max-batch", 64, "largest coalesced micro-batch")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "longest a request waits for batch companions")
+	batchWindow := flag.Duration("batch-window", 0, "hold each micro-batch open this long for companions (0 = self-clocking: price what is queued at once, the next batch forms meanwhile)")
 	workers := flag.Int("workers", 0, "worker-pool size for the per-batch planning fan-out (0 = GOMAXPROCS)")
 	cache := flag.Bool("cache", true, "enable the sharded query-fingerprint cache (template/feature/prediction tiers); hits are bit-identical to cold estimates")
 	cacheShards := flag.Int("cache-shards", 0, "cache shard count per tier, rounded to a power of two (0 = scaled to GOMAXPROCS)")

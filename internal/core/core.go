@@ -53,7 +53,9 @@ type Estimator interface {
 	PredictBatch(roots []*planner.Node) []float64
 	// PredictFeaturizedBatch is PredictBatch over plans whose per-node
 	// feature vectors were computed earlier (the query cache's feature
-	// tier); element i is bit-identical to PredictMs(fps[i].Root).
+	// tier); element i is bit-identical to PredictMs of the plan fps[i]
+	// was featurized from. Learned models read the rows (and shape);
+	// the analytic model reads fps[i].Root.
 	PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64
 	SetFeaturizer(f *encoding.Featurizer)
 }

@@ -96,25 +96,59 @@ func (f *Featurizer) PlanMatrix(root *planner.Node) *linalg.Matrix {
 // once and kept — the value the query cache's feature tier stores. The
 // two orders index the same underlying vectors: Pre is Walk (pre-order),
 // the gather order of MSCN's set pooling; Post is children-first
-// post-order, the order QPPNet's skeleton builder consumes. Entries are
-// shared across concurrent readers and must be treated as immutable.
+// post-order, the order QPPNet's skeleton builder consumes, and Shape is
+// the plan's structure in that same order. A learned model reads only
+// these, so the value does not retain the planner tree: Root is set only
+// for the analytic baseline, which prices the tree itself and carries no
+// rows. Entries are shared across concurrent readers and must be treated
+// as immutable.
 type FeaturizedPlan struct {
-	Root *planner.Node
-	Pre  [][]float64
-	Post [][]float64
+	Root  *planner.Node
+	Pre   [][]float64
+	Post  [][]float64
+	Shape []ShapeNode
+}
+
+// ShapeNode is one plan node's structure: its operator and how many
+// children it has. A post-order list of them (see PostOrderShape) is the
+// whole tree shape — each node's children are the NumChildren subtrees
+// that end right before it.
+type ShapeNode struct {
+	Op          planner.OpType
+	NumChildren int
 }
 
 // NumNodes returns the plan size (the chunking unit of the batched
 // inference paths).
 func (fp *FeaturizedPlan) NumNodes() int { return len(fp.Pre) }
 
+// PostOrderShape lists a plan's nodes children-first, in child order —
+// the order of FeaturizedPlan.Post.
+func PostOrderShape(root *planner.Node) []ShapeNode {
+	out := make([]ShapeNode, 0, root.CountNodes())
+	var rec func(nd *planner.Node)
+	rec = func(nd *planner.Node) {
+		for _, c := range nd.Children {
+			rec(c)
+		}
+		out = append(out, ShapeNode{Op: nd.Op, NumChildren: len(nd.Children)})
+	}
+	rec(root)
+	return out
+}
+
 // Featurize computes a plan's full featurization (masked, snapshot block
-// included) once, in both traversal orders. Each vector is the same
-// slice in Pre and Post — Featurize costs one Node() call per plan node,
-// exactly like one scalar prediction's featurization.
+// included) once, in both traversal orders, plus its post-order shape.
+// Each vector is the same slice in Pre and Post — Featurize costs one
+// Node() call per plan node, exactly like one scalar prediction's
+// featurization.
 func (f *Featurizer) Featurize(root *planner.Node) *FeaturizedPlan {
 	n := root.CountNodes()
-	fp := &FeaturizedPlan{Root: root, Pre: make([][]float64, 0, n), Post: make([][]float64, 0, n)}
+	fp := &FeaturizedPlan{
+		Pre:   make([][]float64, 0, n),
+		Post:  make([][]float64, 0, n),
+		Shape: PostOrderShape(root),
+	}
 	// Pre-order positions, recorded while featurizing...
 	byNode := make(map[*planner.Node][]float64, n)
 	root.Walk(func(nd *planner.Node) {

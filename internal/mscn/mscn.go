@@ -156,7 +156,8 @@ func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
 // query cache's feature tier): node features come from the cached
 // pre-order rows instead of the featurizer, and everything downstream —
 // chunk boundaries, set-network batching, pooling order — is identical,
-// so output i is bit-identical to PredictMs(fps[i].Root).
+// so output i is bit-identical to PredictMs of the plan fps[i] was
+// featurized from. Only Pre is read.
 func (m *Model) PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64 {
 	if len(fps) == 0 {
 		return nil

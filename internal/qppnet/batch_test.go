@@ -8,23 +8,31 @@ import (
 )
 
 // TestPredictFeaturizedBatchBitIdentical asserts the feature-tier
-// inference path (skeletons built from cached post-order vectors, the
-// query cache's hit path) equals the batched path bit for bit, across
-// chunk boundaries and multi-level trees.
+// inference path (skeletons built from the cached post-order shape and
+// vectors, the query cache's hit path — no plan tree) equals the batched
+// path and the per-sample tree recursion bit for bit, across chunk
+// boundaries and multi-level, bushy trees.
 func TestPredictFeaturizedBatchBitIdentical(t *testing.T) {
 	f := testFeaturizer()
 	m := New(f, 1)
 	plans, ms := synthPlans(700, 2) // several inference chunks
 	m.Train(plans[:80], ms[:80], 40)
+	plans = append(plans, bushyPlan())
 	fps := make([]*encoding.FeaturizedPlan, len(plans))
 	for i, p := range plans {
 		fps[i] = f.Featurize(p)
+		if fps[i].Root != nil {
+			t.Fatalf("plan %d: featurized plan retains the planner tree", i)
+		}
 	}
 	got := m.PredictFeaturizedBatch(fps)
 	want := m.PredictBatch(plans)
-	for i := range plans {
+	for i, p := range plans {
 		if got[i] != want[i] {
 			t.Fatalf("plan %d: PredictFeaturizedBatch %v != PredictBatch %v", i, got[i], want[i])
+		}
+		if s := m.PredictMs(p); got[i] != s {
+			t.Fatalf("plan %d: PredictFeaturizedBatch %v != PredictMs %v", i, got[i], s)
 		}
 	}
 	if out := m.PredictFeaturizedBatch(nil); out != nil {
@@ -79,6 +87,20 @@ func TestPredictBatchDeepTree(t *testing.T) {
 	if got[0] != m.PredictMs(outer) || got[1] != m.PredictMs(scan) {
 		t.Fatalf("deep-tree batch diverged: %v vs %v / %v", got, m.PredictMs(outer), m.PredictMs(scan))
 	}
+}
+
+// bushyPlan is a three-level plan whose root joins two subtrees of
+// different depths, one holding an operator that also appears at
+// another level — the shape a post-order rebuild must get exactly right.
+func bushyPlan() *planner.Node {
+	leaf := func(rows float64) *planner.Node {
+		return &planner.Node{Op: planner.SeqScan, Table: "t", EstRows: rows, EstIn1: rows, EstWidth: 16, Limit: -1}
+	}
+	join := &planner.Node{Op: planner.HashJoin, Children: []*planner.Node{leaf(500), leaf(70)},
+		EstRows: 500, EstIn1: 500, EstIn2: 70, EstWidth: 32, Limit: -1}
+	sort := &planner.Node{Op: planner.Sort, Children: []*planner.Node{leaf(900)}, EstRows: 900, EstIn1: 900, EstWidth: 16, Limit: -1}
+	return &planner.Node{Op: planner.HashJoin, Children: []*planner.Node{join, sort},
+		EstRows: 800, EstIn1: 500, EstIn2: 900, EstWidth: 48, Limit: -1}
 }
 
 // weightsEqual compares two models' parameters bitwise.

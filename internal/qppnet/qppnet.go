@@ -141,7 +141,7 @@ func (m *Model) backward(ar *linalg.Arena, tc *treeCache, dOut []float64) {
 }
 
 // planFeatures featurizes a plan's nodes in post-order (children first, in
-// child order, then the node) — the order buildSkeleton consumes.
+// child order, then the node) — the order newSkeleton consumes.
 func planFeatures(f *encoding.Featurizer, root *planner.Node) [][]float64 {
 	out := make([][]float64, 0, root.CountNodes())
 	var rec func(n *planner.Node)
@@ -177,31 +177,51 @@ type planSkeleton struct {
 	maxLevel int
 }
 
-// buildSkeleton builds the treeCache skeleton for one plan, consuming
-// feats with cursor in post-order, and appends every node to flat. It
-// returns the root cache and its level (leaves are level 0).
-func buildSkeleton(n *planner.Node, feats [][]float64, cursor *int, flat *[]bNode) (*treeCache, int) {
-	tc := &treeCache{op: n.Op}
-	level := 0
-	for _, c := range n.Children {
-		cc, cl := buildSkeleton(c, feats, cursor, flat)
-		tc.children = append(tc.children, cc)
-		if cl+1 > level {
-			level = cl + 1
+// newSkeleton builds a plan's skeleton from its post-order shape and the
+// matching post-order feature rows — the one builder behind every path:
+// the tree paths derive the shape from the plan, the feature-tier path
+// reads it from the cache entry. Each node's children are the subtrees
+// completed just before it, so one stack pass rebuilds the tree; flat
+// is filled in post-order and leaves are level 0.
+func newSkeleton(shape []encoding.ShapeNode, feats [][]float64) *planSkeleton {
+	s := &planSkeleton{flat: make([]bNode, len(shape))}
+	stack := make([]*bNode, 0, len(shape))
+	for i, sh := range shape {
+		bn := &s.flat[i]
+		bn.tc = &treeCache{op: sh.Op}
+		bn.feat = feats[i]
+		if k := sh.NumChildren; k > 0 {
+			kids := stack[len(stack)-k:]
+			bn.tc.children = make([]*treeCache, k)
+			for j, c := range kids {
+				bn.tc.children[j] = c.tc
+				if c.level+1 > bn.level {
+					bn.level = c.level + 1
+				}
+			}
+			stack = stack[:len(stack)-k]
 		}
+		stack = append(stack, bn)
 	}
-	feat := feats[*cursor]
-	*cursor++
-	*flat = append(*flat, bNode{tc: tc, feat: feat, level: level})
-	return tc, level
+	s.root, s.maxLevel = stack[0].tc, stack[0].level
+	return s
 }
 
-// newSkeleton builds a plan's reusable skeleton from its featurization.
-func newSkeleton(root *planner.Node, feats [][]float64) *planSkeleton {
-	s := &planSkeleton{flat: make([]bNode, 0, len(feats))}
-	cursor := 0
-	s.root, s.maxLevel = buildSkeleton(root, feats, &cursor, &s.flat)
-	return s
+// treeSkeleton builds a plan tree's skeleton, featurizing its nodes.
+func (m *Model) treeSkeleton(root *planner.Node) *planSkeleton {
+	return newSkeleton(encoding.PostOrderShape(root), planFeatures(m.F, root))
+}
+
+// fresh rebuilds an independent skeleton of the same plan, sharing the
+// feature rows — the instance a duplicate draw within one minibatch gets.
+func (s *planSkeleton) fresh() *planSkeleton {
+	shape := make([]encoding.ShapeNode, len(s.flat))
+	feats := make([][]float64, len(s.flat))
+	for i, bn := range s.flat {
+		shape[i] = encoding.ShapeNode{Op: bn.tc.op, NumChildren: len(bn.tc.children)}
+		feats[i] = bn.feat
+	}
+	return newSkeleton(shape, feats)
 }
 
 // batchScratch holds forwardBatch's grouping buffers, reused across
@@ -295,18 +315,19 @@ const predictChunkNodes = 1024
 func (m *Model) PredictBatch(roots []*planner.Node) []float64 {
 	return m.predictSkeletons(len(roots),
 		func(i int) int { return roots[i].CountNodes() },
-		func(i int) *planSkeleton { return newSkeleton(roots[i], planFeatures(m.F, roots[i])) })
+		func(i int) *planSkeleton { return m.treeSkeleton(roots[i]) })
 }
 
 // PredictFeaturizedBatch is PredictBatch over pre-featurized plans (the
 // query cache's feature tier): skeletons are built from the cached
-// post-order rows instead of re-featurizing — exactly the feature reuse
-// the training loop already does across iterations — so output i is
-// bit-identical to PredictMs(fps[i].Root).
+// post-order shape and rows instead of the plan tree — exactly the
+// feature reuse the training loop already does across iterations — so
+// output i is bit-identical to PredictMs of the plan fps[i] was
+// featurized from.
 func (m *Model) PredictFeaturizedBatch(fps []*encoding.FeaturizedPlan) []float64 {
 	return m.predictSkeletons(len(fps),
 		func(i int) int { return fps[i].NumNodes() },
-		func(i int) *planSkeleton { return newSkeleton(fps[i].Root, fps[i].Post) })
+		func(i int) *planSkeleton { return newSkeleton(fps[i].Shape, fps[i].Post) })
 }
 
 // predictSkeletons runs the chunked level-batched inference loop over n
@@ -399,18 +420,14 @@ func (m *Model) TrainCtx(ctx context.Context, plans []*planner.Node, ms []float6
 			idx[b] = j
 			switch {
 			case skels[j] == nil:
-				skels[j] = newSkeleton(plans[j], planFeatures(m.F, plans[j]))
+				skels[j] = m.treeSkeleton(plans[j])
 				batchSkels[b] = skels[j]
 			case usedIter[j] == it:
 				// Duplicate draw within one minibatch: the cached
 				// skeleton's node outputs would be clobbered, so this
 				// occurrence gets a throwaway instance (features are
 				// still shared).
-				feats := make([][]float64, 0, len(skels[j].flat))
-				for i := range skels[j].flat {
-					feats = append(feats, skels[j].flat[i].feat)
-				}
-				batchSkels[b] = newSkeleton(plans[j], feats)
+				batchSkels[b] = skels[j].fresh()
 			default:
 				batchSkels[b] = skels[j]
 			}

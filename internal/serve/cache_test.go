@@ -193,4 +193,24 @@ func TestStatsExposesCache(t *testing.T) {
 	if out2.Cache != nil {
 		t.Fatalf("cacheless /stats must omit cache block, got %+v", out2.Cache)
 	}
+
+	// batch_window_ms reports the configured window in fractional
+	// milliseconds, and 0 for the self-clocking default.
+	if out.BatchWindowMs != 0 {
+		t.Fatalf("default batch_window_ms = %v, want 0", out.BatchWindowMs)
+	}
+	for _, w := range []struct {
+		window time.Duration
+		ms     float64
+	}{{500 * time.Microsecond, 0.5}, {200 * time.Microsecond, 0.2}, {2 * time.Millisecond, 2}} {
+		rec := httptest.NewRecorder()
+		New(testEstimator(t), Options{BatchWindow: w.window}).Handler().ServeHTTP(rec, req)
+		var st StatsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.BatchWindowMs != w.ms {
+			t.Fatalf("window %v: batch_window_ms = %v, want %v", w.window, st.BatchWindowMs, w.ms)
+		}
+	}
 }

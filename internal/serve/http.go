@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	qcfe "repro"
 	"repro/internal/obs"
@@ -307,7 +308,7 @@ func (s *Server) StatsSnapshot() StatsResponse {
 	resp := StatsResponse{
 		Stats:            s.Stats(),
 		MaxBatch:         s.opts.MaxBatch,
-		BatchWindowMs:    float64(s.opts.BatchWindow.Milliseconds()),
+		BatchWindowMs:    float64(s.opts.BatchWindow) / float64(time.Millisecond),
 		PipelineDepth:    s.opts.PipelineDepth,
 		FeaturizeWorkers: s.opts.FeaturizeWorkers,
 		PredictWorkers:   s.opts.PredictWorkers,

@@ -1,5 +1,5 @@
 // Pipelined miss path: the serial gather-then-flush loop in serve.go
-// alternates the batch window with pricing — while one micro-batch
+// alternates gathering with pricing — while one micro-batch
 // parses/plans/featurizes/predicts, no new batch is gathering, so one
 // slow batch stalls everything queued behind it. With
 // Options.PipelineDepth > 0 the batcher instead hands each gathered

@@ -6,9 +6,13 @@
 //
 // Its core mechanism is micro-batch coalescing: concurrent single-query
 // Estimate calls enqueue into one channel, a batcher goroutine drains
-// them — waiting at most Options.BatchWindow to fill a batch of up to
-// Options.MaxBatch — groups them by environment, and prices each group
-// through the estimator's batched inference path. Batched inference is
+// them — the first queued request plus whatever else is already queued,
+// up to Options.MaxBatch — groups them by environment, and prices each
+// group through the estimator's batched inference path. The coalescer is
+// self-clocking: a lone miss is priced the moment it arrives, and the
+// requests that queue while one batch is priced form the next, so batch
+// size grows with load without a timer (a positive Options.BatchWindow
+// still holds each batch open for companions). Batched inference is
 // bit-identical to per-query inference, so coalescing changes latency
 // shape, never results. This is what turns the estimator stack's batched
 // kernels into serving throughput: N concurrent clients cost ~1 batched
@@ -47,7 +51,7 @@ type Estimator interface {
 	// (environment, SQL text) pair when an attached query cache can
 	// answer without planning or inference; ok=false otherwise (no
 	// cache, cold key, or stale generation). Estimate probes it before
-	// enqueueing, so warm hits never pay the BatchWindow.
+	// enqueueing, so warm hits never queue behind a batch being priced.
 	CachedEstimate(env *qcfe.Environment, sql string) (float64, bool)
 	// CacheStats snapshots the attached query cache's counters; ok is
 	// false when no cache is attached.
@@ -83,10 +87,12 @@ type Options struct {
 	// MaxBatch is the largest coalesced micro-batch (default 64). A flush
 	// happens as soon as this many requests are pending.
 	MaxBatch int
-	// BatchWindow is the longest a request waits for companions before
-	// its batch is flushed anyway (default 2ms). Zero keeps the default;
-	// negative flushes immediately (batching only under instantaneous
-	// concurrency).
+	// BatchWindow, when positive, holds each micro-batch open this long
+	// for companions before it is priced. Zero (the default) or negative
+	// makes the coalescer self-clocking: a batch is the first queued
+	// request plus whatever is already queued, priced at once, and the
+	// requests that arrive meanwhile form the next batch — a lone miss
+	// never waits, and batches grow with load on their own.
 	BatchWindow time.Duration
 	// QueueDepth bounds the pending-request queue (default 1024).
 	// Enqueueing beyond it blocks the client — backpressure, not
@@ -134,8 +140,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
 	}
-	if o.BatchWindow == 0 {
-		o.BatchWindow = 2 * time.Millisecond
+	if o.BatchWindow < 0 {
+		o.BatchWindow = 0
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
@@ -169,7 +175,7 @@ type Stats struct {
 	Coalesced int64 `json:"coalesced"`
 	// CacheHits counts single-query requests served straight from the
 	// query cache's prediction tier — they skip the coalescing queue
-	// (and its BatchWindow) entirely.
+	// entirely.
 	CacheHits int64 `json:"cache_hits"`
 	// Swaps counts estimator hot swaps installed via SwapEstimator.
 	Swaps int64 `json:"swaps"`
@@ -437,14 +443,16 @@ func putBatch(b []*request) {
 	batchPool.Put(&b)
 }
 
-// gather collects one micro-batch: the first request plus whatever else
-// arrives within BatchWindow, capped at MaxBatch. The returned slice
+// gather collects one micro-batch: the first request plus whatever is
+// already queued, capped at MaxBatch — or, with a positive BatchWindow,
+// plus whatever else arrives within the window. The returned slice
 // comes from batchPool; the caller releases it with putBatch once the
 // requests have been handed on.
 func (s *Server) gather(ctx context.Context, co *coalescer, first *request) []*request {
 	batch := append(getBatch(), first)
-	if s.opts.BatchWindow < 0 {
-		// Immediate mode: take only what is already pending.
+	if s.opts.BatchWindow == 0 {
+		// Self-clocking: requests that arrive while this batch is being
+		// priced queue up and form the next one.
 		for len(batch) < s.opts.MaxBatch {
 			select {
 			case r := <-s.queue:
@@ -590,8 +598,8 @@ func (s *Server) Estimate(ctx context.Context, envID int, sql string) (float64, 
 	}
 	s.requests.Add(1)
 	// A warm prediction-tier hit is deterministic and already known:
-	// answer straight away instead of paying the BatchWindow wait in
-	// gather. Misses (and cacheless estimators) coalesce as before.
+	// answer straight away instead of queueing behind the batch being
+	// priced. Misses (and cacheless estimators) go through the coalescer.
 	// (Coalesced requests are observed inside flush, which holds the
 	// estimator snapshot that actually priced them.)
 	// tr is nil on untraced paths (benchmarks, in-process callers) and

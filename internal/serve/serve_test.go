@@ -269,6 +269,100 @@ func TestErrorIsolation(t *testing.T) {
 	}
 }
 
+// TestLoneMissSelfClocking: with default Options the coalescer prices a
+// miss the moment it is picked up instead of holding its batch open for
+// companions. Fifty sequential misses over a zero-cost estimator finish
+// in well under a millisecond each — a 2 ms batch window alone would
+// take 100 ms — and each is its own one-request batch.
+func TestLoneMissSelfClocking(t *testing.T) {
+	fake := &stormEstimator{env: &qcfe.Environment{ID: 0}}
+	srv := New(fake, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go srv.Run(ctx)
+
+	const n = 50
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if _, err := srv.Estimate(context.Background(), 0, fmt.Sprintf("SELECT %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if el := time.Since(start); el >= 50*time.Millisecond {
+		t.Fatalf("%d sequential misses took %v, want < 50ms (is a lone miss waiting out a batch window?)", n, el)
+	}
+	if st := srv.Stats(); st.Flushes != n || st.MeanBatch != 1 {
+		t.Fatalf("flushes = %d, mean batch = %v; want %d one-request batches", st.Flushes, st.MeanBatch, n)
+	}
+}
+
+// tpchFixture is a small analytic estimator over tpch, the multi-table
+// schema the poison-query test needs.
+var tpchFixture struct {
+	once sync.Once
+	est  *qcfe.CostEstimator
+	err  error
+}
+
+func tpchEstimator(t *testing.T) *qcfe.CostEstimator {
+	t.Helper()
+	tpchFixture.once.Do(func() {
+		b, err := qcfe.OpenBenchmark("tpch", 1)
+		if err != nil {
+			tpchFixture.err = err
+			return
+		}
+		envs := qcfe.RandomEnvironments(1, 1)
+		pool, err := b.CollectWorkload(envs, 20, 1)
+		if err != nil {
+			tpchFixture.err = err
+			return
+		}
+		train, _ := pool.Split(0.8)
+		tpchFixture.est, tpchFixture.err = qcfe.NewPipeline("analytic", qcfe.WithSeed(3)).Fit(b, envs, train)
+	})
+	if tpchFixture.err != nil {
+		t.Fatal(tpchFixture.err)
+	}
+	return tpchFixture.est
+}
+
+// TestPoisonQueryFailsAlone: a join predicate naming a schema table that
+// is missing from FROM once crashed the planner inside the batcher
+// goroutine, taking the whole daemon down. It must fail as a query fault
+// (4xx), and the server must keep answering.
+func TestPoisonQueryFailsAlone(t *testing.T) {
+	est := tpchEstimator(t)
+	srv := New(est, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go srv.Run(ctx)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const poison = "SELECT COUNT(*)FROM region,supplier WHERE nation.n_nationkey=supplier.s_nationkey"
+	resp, body := postJSON(t, ts.URL+"/estimate", fmt.Sprintf(`{"env":0,"sql":%q}`, poison))
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("poison query: status %d (%s), want 4xx", resp.StatusCode, body)
+	}
+	const good = "SELECT COUNT(*) FROM supplier, nation WHERE nation.n_nationkey = supplier.s_nationkey"
+	resp, body = postJSON(t, ts.URL+"/estimate", fmt.Sprintf(`{"env":0,"sql":%q}`, good))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next query: status %d (%s)", resp.StatusCode, body)
+	}
+	var out EstimateResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	want, err := est.EstimateSQL(est.Environments()[0], good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Ms != want {
+		t.Fatalf("next query: served %v != library %v", out.Ms, want)
+	}
+}
+
 // TestUnknownEnvironment: an env ID outside the artifact's set is a
 // client error, not a panic or a silent default.
 func TestUnknownEnvironment(t *testing.T) {

@@ -110,21 +110,26 @@ func (q *Query) AliasMap() map[string]string {
 
 // Resolve rewrites every ColRef against the schema: aliases are replaced by
 // real table names and unqualified columns are bound to the unique table
-// containing them. It returns an error for unknown tables/columns and
-// ambiguous unqualified references.
+// containing them. It returns an error for unknown tables/columns,
+// qualifiers naming a table that is not in FROM, and ambiguous
+// unqualified references.
 func (q *Query) Resolve(s *catalog.Schema) error {
 	aliases := q.AliasMap()
+	inFrom := make(map[string]bool, len(q.Tables))
 	for i := range q.Tables {
 		if s.Table(q.Tables[i].Name) == nil {
 			return fmt.Errorf("sqlparse: unknown table %q", q.Tables[i].Name)
 		}
+		inFrom[q.Tables[i].Name] = true
 	}
 	fix := func(c *ColRef) error {
 		if c.Table != "" {
 			real, ok := aliases[c.Table]
 			if !ok {
-				// Maybe already a real name used directly.
-				if s.Table(c.Table) == nil {
+				// Maybe a FROM table's real name used directly (it was
+				// given an alias). Any other schema table is not part of
+				// the query: planning it would join a table with no scan.
+				if !inFrom[c.Table] {
 					return fmt.Errorf("sqlparse: unknown alias %q", c.Table)
 				}
 				real = c.Table

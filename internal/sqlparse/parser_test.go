@@ -203,6 +203,9 @@ func TestResolveErrors(t *testing.T) {
 		"SELECT * FROM orders WHERE ghost_col = 1",
 		"SELECT * FROM orders WHERE x.o_orderkey = 1",
 		"SELECT * FROM orders o WHERE o.nope = 1",
+		// A qualifier naming a schema table that is missing from FROM.
+		"SELECT COUNT(*)FROM region,supplier WHERE nation.n_nationkey=supplier.s_nationkey",
+		"SELECT COUNT(*) FROM orders WHERE lineitem.l_orderkey = orders.o_orderkey",
 	}
 	for _, sql := range cases {
 		q, err := Parse(sql)

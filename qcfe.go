@@ -458,7 +458,9 @@ func (e *CostEstimator) featurizedPlan(c *qcache.QueryCache, g uint64, env *Envi
 // analytic baseline prices the plan directly and never reads feature
 // rows, so its entries carry only the plan (still worth caching: a
 // feature-tier hit skips parse+resolve+plan); the learned models get
-// the full per-node featurization.
+// the per-node rows and the post-order shape, and the planner tree is
+// dropped — it would be most of a cached entry's bytes, and inference
+// never reads it.
 func (e *CostEstimator) featurize(node *planner.Node) *encoding.FeaturizedPlan {
 	if _, analytic := e.res.Model.(*core.Analytic); analytic {
 		return &encoding.FeaturizedPlan{Root: node}
