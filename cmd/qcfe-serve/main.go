@@ -3,10 +3,9 @@
 // via `qcfe-bench -save`), and serves cost estimates over HTTP, turning
 // the estimator stack's batched inference kernels into throughput by
 // coalescing concurrent single-query requests into micro-batches.
-// Coalescing is self-clocking by default: a lone request is priced the
-// moment it arrives, and requests that queue while a batch is priced
-// form the next batch (-batch-window > 0 instead holds every batch open
-// that long for companions).
+// Coalescing is self-clocking: a lone request is priced the moment it
+// arrives, and requests that queue while a batch is priced form the
+// next batch, up to -max-batch.
 //
 // Usage:
 //
@@ -95,7 +94,6 @@ func main() {
 	artifactPath := flag.String("artifact", "", "path to a model artifact written by CostEstimator.Save / qcfe-bench -save (required unless -tenants)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	maxBatch := flag.Int("max-batch", 64, "largest coalesced micro-batch")
-	batchWindow := flag.Duration("batch-window", 0, "hold each micro-batch open this long for companions (0 = self-clocking: price what is queued at once, the next batch forms meanwhile)")
 	workers := flag.Int("workers", 0, "worker-pool size for the per-batch planning fan-out (0 = GOMAXPROCS)")
 	cache := flag.Bool("cache", true, "enable the sharded query-fingerprint cache (template/feature/prediction tiers); hits are bit-identical to cold estimates")
 	cacheShards := flag.Int("cache-shards", 0, "cache shard count per tier, rounded to a power of two (0 = scaled to GOMAXPROCS)")
@@ -110,9 +108,6 @@ func main() {
 	tenantsSpec := flag.String("tenants", "", "multi-tenant mode: comma-separated name=artifact pairs (e.g. alpha=a.qcfe,beta=b.qcfe); mutually exclusive with -artifact")
 	tenantWeights := flag.String("tenant-weights", "", "with -tenants: comma-separated name=weight fair-share weights (unlisted tenants weigh 1)")
 	maxInflight := flag.Int("max-inflight", 0, "with -tenants: NN-path inflight-slot budget divided into weighted per-tenant floors (0 = 4×GOMAXPROCS)")
-	pipelineDepth := flag.Int("pipeline-depth", 0, "run the miss path as bounded concurrent stages (gather/featurize/predict/reply) with this exchange-channel capacity; 0 = serial coalescer; results are bit-identical either way")
-	featurizeWorkers := flag.Int("featurize-workers", 0, "with -pipeline-depth: concurrent parse/plan/featurize stage workers (0 = 2)")
-	predictWorkers := flag.Int("predict-workers", 0, "with -pipeline-depth: concurrent batched-inference stage workers (0 = 1)")
 	slowQuery := flag.Duration("slow-query-threshold", 0, "log every request slower than this as one structured JSON line on stderr, with its trace ID and stage spans (0 = off)")
 	traceRing := flag.Int("trace-ring", 0, "finished-request traces retained for GET /trace/recent (0 = 256)")
 	showVersion := flag.Bool("version", false, "print build information and exit")
@@ -144,14 +139,10 @@ func main() {
 	}
 	sopts := serve.Options{
 		MaxBatch:           *maxBatch,
-		BatchWindow:        *batchWindow,
 		AdminToken:         *adminToken,
 		Advertise:          *advertise,
 		SlowQueryThreshold: *slowQuery,
 		TraceRing:          *traceRing,
-		PipelineDepth:      *pipelineDepth,
-		FeaturizeWorkers:   *featurizeWorkers,
-		PredictWorkers:     *predictWorkers,
 	}
 	var err error
 	if *tenantsSpec != "" {

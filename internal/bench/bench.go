@@ -155,37 +155,23 @@ const (
 	// same -min-warm-speedup floor as ServeWarm: the multi-tenant layer
 	// must not meaningfully tax the warm short-circuit.
 	ServeWarmMultiTenant = "serve/estimate-warm-multitenant"
-	// ServeMissSerial is the streaming-miss anchor: heavily concurrent
+	// ServeMiss is the streaming-miss row: heavily concurrent
 	// single-query requests, every one a fresh literal (misses the
 	// prediction and feature tiers, hits the template tier), through the
-	// serial gather-then-flush coalescer. With more workers than
-	// MaxBatch the queue never empties, so this measures the serial
-	// design's throughput ceiling: one micro-batch prices while nothing
-	// else gathers or predicts.
-	ServeMissSerial = "serve/estimate-miss-serial"
-	// ServeMissPipelined is the same workload through the staged
-	// pipeline (gather → featurize → predict → reply over bounded
-	// exchange channels): stages overlap, so planning fan-out, the NN
-	// kernel, and reply delivery run concurrently. The CI gate requires
-	// this to beat ServeMissSerial by the -min-miss-speedup factor on
-	// multi-core machines (same-run rows, machine speed cancels); the
-	// gate self-skips at GOMAXPROCS=1, where stage overlap has no cores
-	// to run on.
-	ServeMissPipelined = "serve/estimate-miss-pipelined"
-	// ServeMixedTailSerial / ServeMixedTailPipelined report the p99
-	// request latency (ns_per_op is the 99th percentile, not a mean) of
-	// a mixed workload — half warm prediction-tier hits, half fresh-
-	// literal misses — under the serial coalescer and the pipeline.
-	// Informational, not gated: tail latency folds in scheduler timing,
-	// but the pair documents how much head-of-line blocking the serial
-	// design adds to warm requests stuck behind cold batches.
-	ServeMixedTailSerial    = "serve/estimate-mixed-tail-serial"
-	ServeMixedTailPipelined = "serve/estimate-mixed-tail-pipelined"
+	// coalescer. With more workers than MaxBatch the queue never
+	// empties, so this measures the coalescer's miss-path throughput
+	// ceiling. Informational, not gated.
+	ServeMiss = "serve/estimate-miss"
+	// ServeMixedTail reports the p99 request latency (ns_per_op is the
+	// 99th percentile, not a mean) of a mixed workload — half warm
+	// prediction-tier hits, half fresh-literal misses. Informational,
+	// not gated: tail latency folds in scheduler timing.
+	ServeMixedTail = "serve/estimate-mixed-tail"
 	// ServeCoalesceAlloc isolates the coalescer's own per-request
 	// overhead: concurrent requests through the full gather/flush
 	// machinery against a stub estimator whose batch call is free and
-	// allocation-less. What remains is queue handoff, timer reuse,
-	// batch-slice and group-map recycling, and reply delivery — the
+	// allocation-less. What remains is queue handoff, batch-slice and
+	// group-map recycling, and reply delivery — the
 	// AllocGated entry holds its allocs_per_op to no-increase so a
 	// regression that re-introduces per-batch allocations fails CI.
 	ServeCoalesceAlloc = "serve/coalesce-allocs"
@@ -221,8 +207,8 @@ var AllocGated = []string{QCacheHit, ServeWarm, ServeWarmPostSwap, ServeWarmMult
 // path legitimately costs a few amortized allocations per request (the
 // library batch call), and the gate's job is only to keep that count
 // from creeping back up — e.g. a regression that re-introduces the
-// per-batch timer, batch slice, or grouping map the coalescer now
-// recycles, each worth several allocs per op.
+// per-batch slice, grouping map, or span-label string the coalescer
+// now recycles or skips, each worth allocs per op.
 var AllocNoIncrease = []string{ServeCoalesceAlloc}
 
 var sink float64
@@ -349,11 +335,11 @@ func Run() ([]Row, error) {
 	}
 	rows = append(rows, serveRows...)
 
-	pipeRows, err := benchPipeline(artifact, envs)
+	missRows, err := benchMiss(artifact, envs)
 	if err != nil {
-		return nil, fmt.Errorf("bench: pipeline: %w", err)
+		return nil, fmt.Errorf("bench: miss: %w", err)
 	}
-	rows = append(rows, pipeRows...)
+	rows = append(rows, missRows...)
 	rows = append(rows, benchCoalesceAlloc())
 
 	routerRows, err := benchRouter(artifact, envs[0].ID)
@@ -391,7 +377,7 @@ func benchServe(envs []*dbenv.Environment, samples []workload.Sample) ([]Row, []
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := serve.New(est, serve.Options{MaxBatch: 64, BatchWindow: time.Millisecond})
+	srv := serve.New(est, serve.Options{MaxBatch: 64})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go srv.Run(ctx)
@@ -522,16 +508,16 @@ func (s *allocStub) EstimateSQLBatchCtx(_ context.Context, _ *qcfe.Environment, 
 	return s.ms[:len(sqls)], nil
 }
 
-// benchCoalesceAlloc measures the serial coalescer's own allocations
-// per served request over the zero-alloc stub estimator. The pooled
-// batch slices, reused coalescer scratch (groups map, order, sqls),
-// and reused gather timer should amortize the whole gather→flush→reply
-// cycle to a few small allocations per request; Compare holds this row
-// to no-increase against the baseline (AllocNoIncrease) so pooling
-// regressions surface even though the path can't reach literal zero.
+// benchCoalesceAlloc measures the coalescer's own allocations per
+// served request over the zero-alloc stub estimator. The pooled
+// requests and batch slices and the reused coalescer scratch (groups
+// map, order, sqls) amortize the whole gather→flush→reply cycle to
+// zero allocations per request; Compare holds this row to
+// no-increase against the baseline (AllocNoIncrease) so pooling
+// regressions surface.
 func benchCoalesceAlloc() Row {
 	stub := &allocStub{envs: []*qcfe.Environment{{ID: 0}}, ms: make([]float64, 64)}
-	srv := serve.New(stub, serve.Options{MaxBatch: 16, BatchWindow: 50 * time.Microsecond})
+	srv := serve.New(stub, serve.Options{MaxBatch: 16})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go srv.Run(ctx)
@@ -555,40 +541,29 @@ func benchCoalesceAlloc() Row {
 	})
 }
 
-// benchPipeline compares the serial coalescer against the staged
-// pipeline on the workload the pipeline exists for: streaming misses
-// under heavy concurrency. Each mode gets its own server over an
-// estimator loaded from the same artifact bytes with a fresh query
-// cache. Load is open-ended relative to the batch size (conc=64
-// workers against MaxBatch=16), so the queue never drains between
-// flushes: the serial design serializes featurize and predict inside
-// one goroutine while gathered requests wait, and the pipeline's gain
-// is exactly that overlap. On a single-core machine there is nothing
-// to overlap onto and the two rows converge — which is why the
-// -min-miss-speedup gate self-skips below GOMAXPROCS=2.
+// benchMiss measures the coalescer on streaming misses under heavy
+// concurrency. Each row gets its own server over an estimator loaded
+// from the same artifact bytes with a fresh query cache. Load is
+// open-ended relative to the batch size (conc=64 workers against
+// MaxBatch=16), so the queue never drains between flushes.
 //
-// The mixed-tail rows then interleave warm hits (primed per worker)
-// with cold misses 1:1 and report the p99 request latency in ns_per_op
-// (Iters = total requests measured): the warm-behind-cold
+// The mixed-tail row then interleaves warm hits (primed per worker)
+// with cold misses 1:1 and reports the p99 request latency in
+// ns_per_op (Iters = total requests measured): the warm-behind-cold
 // head-of-line-blocking number the paper's feature-engineering
 // argument cares about.
-func benchPipeline(artifact []byte, envs []*dbenv.Environment) ([]Row, error) {
-	newSrv := func(opts serve.Options) (*serve.Server, context.CancelFunc, error) {
+func benchMiss(artifact []byte, envs []*dbenv.Environment) ([]Row, error) {
+	newSrv := func() (*serve.Server, context.CancelFunc, error) {
 		est, err := qcfe.LoadEstimator(bytes.NewReader(artifact))
 		if err != nil {
 			return nil, nil, err
 		}
 		est.AttachCache(qcfe.NewQueryCache(qcfe.CacheOptions{}))
-		srv := serve.New(est, opts)
+		srv := serve.New(est, serve.Options{MaxBatch: 16})
 		ctx, cancel := context.WithCancel(context.Background())
 		go srv.Run(ctx)
 		return srv, cancel, nil
 	}
-	serialOpts := serve.Options{MaxBatch: 16, BatchWindow: 200 * time.Microsecond}
-	pipeOpts := serialOpts
-	pipeOpts.PipelineDepth = 4
-	pipeOpts.FeaturizeWorkers = 2
-	pipeOpts.PredictWorkers = 2
 
 	const conc = 64
 	var ctr atomic.Int64
@@ -598,8 +573,8 @@ func benchPipeline(artifact []byte, envs []*dbenv.Environment) ([]Row, error) {
 		return fmt.Sprintf("SELECT COUNT(*) FROM lineitem WHERE l_quantity < %d", ctr.Add(1))
 	}
 
-	missRow := func(name string, opts serve.Options) (Row, error) {
-		srv, stop, err := newSrv(opts)
+	missRow := func() (Row, error) {
+		srv, stop, err := newSrv()
 		if err != nil {
 			return Row{}, err
 		}
@@ -609,7 +584,7 @@ func benchPipeline(artifact []byte, envs []*dbenv.Environment) ([]Row, error) {
 		if _, err := srv.Estimate(context.Background(), envs[0].ID, fresh()); err != nil {
 			return Row{}, err
 		}
-		return run(name, conc, func(tb *testing.B) {
+		return run(ServeMiss, conc, func(tb *testing.B) {
 			tb.ReportAllocs()
 			var wg sync.WaitGroup
 			for c := 0; c < conc; c++ {
@@ -619,7 +594,7 @@ func benchPipeline(artifact []byte, envs []*dbenv.Environment) ([]Row, error) {
 					env := envs[c%len(envs)]
 					for i := 0; i < tb.N; i++ {
 						if _, err := srv.Estimate(context.Background(), env.ID, fresh()); err != nil {
-							panic(fmt.Sprintf("bench: %s: %v", name, err))
+							panic(fmt.Sprintf("bench: %s: %v", ServeMiss, err))
 						}
 					}
 				}(c)
@@ -628,8 +603,8 @@ func benchPipeline(artifact []byte, envs []*dbenv.Environment) ([]Row, error) {
 		}), nil
 	}
 
-	mixedRow := func(name string, opts serve.Options) (Row, error) {
-		srv, stop, err := newSrv(opts)
+	mixedRow := func() (Row, error) {
+		srv, stop, err := newSrv()
 		if err != nil {
 			return Row{}, err
 		}
@@ -659,7 +634,7 @@ func benchPipeline(artifact []byte, envs []*dbenv.Environment) ([]Row, error) {
 					}
 					t0 := time.Now()
 					if _, err := srv.Estimate(context.Background(), env.ID, sql); err != nil {
-						panic(fmt.Sprintf("bench: %s: %v", name, err))
+						panic(fmt.Sprintf("bench: %s: %v", ServeMixedTail, err))
 					}
 					buf = append(buf, time.Since(t0).Nanoseconds())
 				}
@@ -676,28 +651,18 @@ func benchPipeline(artifact []byte, envs []*dbenv.Environment) ([]Row, error) {
 		if idx >= len(all) {
 			idx = len(all) - 1
 		}
-		return Row{Name: name, Iters: len(all), NsPerOp: float64(all[idx])}, nil
+		return Row{Name: ServeMixedTail, Iters: len(all), NsPerOp: float64(all[idx])}, nil
 	}
 
-	var rows []Row
-	for _, m := range []struct {
-		miss, mixed string
-		opts        serve.Options
-	}{
-		{ServeMissSerial, ServeMixedTailSerial, serialOpts},
-		{ServeMissPipelined, ServeMixedTailPipelined, pipeOpts},
-	} {
-		r, err := missRow(m.miss, m.opts)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-		if r, err = mixedRow(m.mixed, m.opts); err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
+	miss, err := missRow()
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	mixed, err := mixedRow()
+	if err != nil {
+		return nil, err
+	}
+	return []Row{miss, mixed}, nil
 }
 
 // benchRouter measures the distributed serving path: three replicas
@@ -722,10 +687,9 @@ func benchRouter(artifact []byte, envID int) ([]Row, error) {
 		}
 		est.AttachCache(qcfe.NewQueryCache(qcfe.CacheOptions{}))
 		srv := serve.New(est, serve.Options{
-			MaxBatch:    64,
-			BatchWindow: time.Millisecond,
-			AdminToken:  token,
-			Advertise:   fmt.Sprintf("bench-replica-%d", i),
+			MaxBatch:   64,
+			AdminToken: token,
+			Advertise:  fmt.Sprintf("bench-replica-%d", i),
 		})
 		go srv.Run(ctx)
 		ts := httptest.NewServer(srv.Handler())
@@ -822,7 +786,7 @@ func benchTenant(artifact []byte, envs []*dbenv.Environment, samples []workload.
 		return nil, err
 	}
 	reg, err := tenant.New(tenant.Options{
-		Serve: serve.Options{MaxBatch: 64, BatchWindow: time.Millisecond},
+		Serve: serve.Options{MaxBatch: 64},
 		Cache: &qcfe.CacheOptions{},
 	}, []tenant.Config{
 		{Name: "alpha", Est: alphaEst, Weight: 1},
@@ -874,7 +838,7 @@ func benchTenant(artifact []byte, envs []*dbenv.Environment, samples []workload.
 		return nil, err
 	}
 	flood, err := tenant.New(tenant.Options{
-		Serve:            serve.Options{MaxBatch: 64, BatchWindow: time.Millisecond},
+		Serve:            serve.Options{MaxBatch: 64},
 		MaxInflight:      1,
 		AnalyticInflight: 1,
 		QueueDepth:       1,
@@ -950,16 +914,6 @@ func RouterWarmSpeedup(rows []Row) (float64, error) {
 // kept every replica's cache warm.
 func PostRolloutWarmSpeedup(rows []Row) (float64, error) {
 	return Speedup(rows, RouterFanout, RouterWarmPostRollout)
-}
-
-// MissPipelineSpeedup returns how many times faster the streaming-miss
-// workload moves through the staged pipeline than through the serial
-// coalescer — same run, same artifact, so machine speed cancels.
-// qcfe-bench gates it with -min-miss-speedup on multi-core machines;
-// at GOMAXPROCS=1 the stages have no second core to overlap on and the
-// gate self-skips.
-func MissPipelineSpeedup(rows []Row) (float64, error) {
-	return Speedup(rows, ServeMissSerial, ServeMissPipelined)
 }
 
 // benchCalib is the machine-speed proxy the regression gate normalizes

@@ -45,8 +45,7 @@ func TestWarmHitSkipsGather(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := New(est, Options{BatchWindow: time.Hour}) // poison: any flush would stall
-	// No srv.Run: the queue has no consumer.
+	srv := New(est, Options{}) // no srv.Run: the queue has no consumer
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	got, err := srv.Estimate(ctx, env.ID, sql)
@@ -71,7 +70,7 @@ func TestWarmHitSkipsGather(t *testing.T) {
 // round must be served from the cache.
 func TestHTTPParityWithCache(t *testing.T) {
 	est := cachedCopy(t)
-	srv := New(est, Options{MaxBatch: 16, BatchWindow: 2 * time.Millisecond})
+	srv := New(est, Options{MaxBatch: 16})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { srv.Run(ctx); close(done) }()
@@ -192,25 +191,5 @@ func TestStatsExposesCache(t *testing.T) {
 	}
 	if out2.Cache != nil {
 		t.Fatalf("cacheless /stats must omit cache block, got %+v", out2.Cache)
-	}
-
-	// batch_window_ms reports the configured window in fractional
-	// milliseconds, and 0 for the self-clocking default.
-	if out.BatchWindowMs != 0 {
-		t.Fatalf("default batch_window_ms = %v, want 0", out.BatchWindowMs)
-	}
-	for _, w := range []struct {
-		window time.Duration
-		ms     float64
-	}{{500 * time.Microsecond, 0.5}, {200 * time.Microsecond, 0.2}, {2 * time.Millisecond, 2}} {
-		rec := httptest.NewRecorder()
-		New(testEstimator(t), Options{BatchWindow: w.window}).Handler().ServeHTTP(rec, req)
-		var st StatsResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.BatchWindowMs != w.ms {
-			t.Fatalf("window %v: batch_window_ms = %v, want %v", w.window, st.BatchWindowMs, w.ms)
-		}
 	}
 }

@@ -11,8 +11,7 @@
 // group through the estimator's batched inference path. The coalescer is
 // self-clocking: a lone miss is priced the moment it arrives, and the
 // requests that queue while one batch is priced form the next, so batch
-// size grows with load without a timer (a positive Options.BatchWindow
-// still holds each batch open for companions). Batched inference is
+// size grows with load without a timer. Batched inference is
 // bit-identical to per-query inference, so coalescing changes latency
 // shape, never results. This is what turns the estimator stack's batched
 // kernels into serving throughput: N concurrent clients cost ~1 batched
@@ -87,13 +86,6 @@ type Options struct {
 	// MaxBatch is the largest coalesced micro-batch (default 64). A flush
 	// happens as soon as this many requests are pending.
 	MaxBatch int
-	// BatchWindow, when positive, holds each micro-batch open this long
-	// for companions before it is priced. Zero (the default) or negative
-	// makes the coalescer self-clocking: a batch is the first queued
-	// request plus whatever is already queued, priced at once, and the
-	// requests that arrive meanwhile form the next batch — a lone miss
-	// never waits, and batches grow with load on their own.
-	BatchWindow time.Duration
 	// QueueDepth bounds the pending-request queue (default 1024).
 	// Enqueueing beyond it blocks the client — backpressure, not
 	// unbounded memory.
@@ -115,47 +107,14 @@ type Options struct {
 	SlowQueryThreshold time.Duration
 	// TraceRing bounds the /trace/recent ring buffer (default 256).
 	TraceRing int
-	// PipelineDepth, when positive, runs the miss path as a pipeline of
-	// bounded concurrent stages (gather → featurize → predict → reply)
-	// instead of the serial gather-then-flush loop, and sets the
-	// capacity of each exchange channel between stages. The batcher then
-	// returns to gathering the instant a batch is handed off, so the
-	// batch window overlaps with pricing instead of alternating with it.
-	// Zero (the default) keeps the serial coalescer. Results are
-	// bit-identical either way; only latency shape changes.
-	PipelineDepth int
-	// FeaturizeWorkers bounds the concurrent parse/plan/featurize stage
-	// workers when the pipeline is enabled (default 2). Each worker
-	// prices one micro-batch's front half at a time; the library
-	// additionally fans planning out across cores inside one call.
-	FeaturizeWorkers int
-	// PredictWorkers bounds the concurrent batched-inference stage
-	// workers when the pipeline is enabled (default 1: the NN kernel
-	// runs batches back to back, which is already its throughput-optimal
-	// shape). Values >1 are safe — inference is stateless per call.
-	PredictWorkers int
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
 	}
-	if o.BatchWindow < 0 {
-		o.BatchWindow = 0
-	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
-	}
-	if o.PipelineDepth < 0 {
-		o.PipelineDepth = 0
-	}
-	if o.PipelineDepth > 0 {
-		if o.FeaturizeWorkers <= 0 {
-			o.FeaturizeWorkers = 2
-		}
-		if o.PredictWorkers <= 0 {
-			o.PredictWorkers = 1
-		}
 	}
 	return o
 }
@@ -271,8 +230,6 @@ type Server struct {
 	histWarm      *obs.Histogram // Estimate/EstimateCached warm prediction-tier hits
 	histQueueWait *obs.Histogram // enqueue → batcher pickup (coalescing wait)
 	histFlush     *obs.Histogram // whole coalesced micro-batch flushes
-	histStageFeat *obs.Histogram // pipelined featurize-stage wall time per env group
-	histStagePred *obs.Histogram // pipelined predict-stage wall time per env group
 	histCacheTpl  *obs.Histogram // qcache template-tier lookups
 	histCacheFeat *obs.Histogram // qcache feature-tier lookups
 	histCachePred *obs.Histogram // qcache prediction-tier lookups
@@ -291,8 +248,6 @@ func New(est Estimator, opts Options) *Server {
 		histWarm:      obs.NewHistogram(),
 		histQueueWait: obs.NewHistogram(),
 		histFlush:     obs.NewHistogram(),
-		histStageFeat: obs.NewHistogram(),
-		histStagePred: obs.NewHistogram(),
 		histCacheTpl:  obs.NewHistogram(),
 		histCacheFeat: obs.NewHistogram(),
 		histCachePred: obs.NewHistogram(),
@@ -350,12 +305,8 @@ func (s *Server) SetMonitor(m Monitor) { s.monitor = m }
 // Run drains the coalescing queue until ctx is cancelled, then fails any
 // still-pending requests with ctx's error and returns it. It is the
 // server's batcher goroutine; call it exactly once, typically via
-// `go srv.Run(ctx)`. With Options.PipelineDepth > 0 it instead runs the
-// staged pipeline (see pipeline.go): same results, overlapped stages.
+// `go srv.Run(ctx)`.
 func (s *Server) Run(ctx context.Context) error {
-	if s.opts.PipelineDepth > 0 {
-		return s.runPipelined(ctx)
-	}
 	co := newCoalescer()
 	for {
 		// Shutdown takes priority over pending work: once ctx is
@@ -370,21 +321,18 @@ func (s *Server) Run(ctx context.Context) error {
 			s.drainFailed(ctx.Err())
 			return ctx.Err()
 		case first := <-s.queue:
-			batch := s.gather(ctx, co, first)
+			batch := s.gather(first)
 			s.flush(ctx, co, batch)
 			putBatch(batch)
 		}
 	}
 }
 
-// coalescer owns one batcher loop's reusable gather/flush scratch so a
-// steady stream of micro-batches allocates nothing per batch: the batch
-// window timer is Reset instead of re-made, and the env-grouping map,
-// group-order slice, and SQL scratch are cleared and reused. It is
-// confined to the goroutine that created it (the serial batcher, or one
-// featurize-stage worker in pipelined mode).
+// coalescer owns the batcher loop's reusable flush scratch so a steady
+// stream of micro-batches allocates nothing per batch: the env-grouping
+// map, group-order slice, and SQL scratch are cleared and reused. It is
+// confined to the batcher goroutine.
 type coalescer struct {
-	timer  *time.Timer
 	groups map[int][]*request
 	order  []int
 	sqls   []string
@@ -444,47 +392,17 @@ func putBatch(b []*request) {
 }
 
 // gather collects one micro-batch: the first request plus whatever is
-// already queued, capped at MaxBatch — or, with a positive BatchWindow,
-// plus whatever else arrives within the window. The returned slice
-// comes from batchPool; the caller releases it with putBatch once the
-// requests have been handed on.
-func (s *Server) gather(ctx context.Context, co *coalescer, first *request) []*request {
+// already queued, capped at MaxBatch. It never waits — requests that
+// arrive while this batch is being priced queue up and form the next
+// one. The returned slice comes from batchPool; the caller releases it
+// with putBatch once the requests have been handed on.
+func (s *Server) gather(first *request) []*request {
 	batch := append(getBatch(), first)
-	if s.opts.BatchWindow == 0 {
-		// Self-clocking: requests that arrive while this batch is being
-		// priced queue up and form the next one.
-		for len(batch) < s.opts.MaxBatch {
-			select {
-			case r := <-s.queue:
-				batch = append(batch, r)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	if co.timer == nil {
-		co.timer = time.NewTimer(s.opts.BatchWindow)
-	} else {
-		// The timer is stopped-and-drained before every return below, so
-		// its channel is provably empty here and Reset cannot race a
-		// stale tick (pre-Go 1.23 timer semantics).
-		co.timer.Reset(s.opts.BatchWindow)
-	}
-	fired := false
-	defer func() {
-		if !fired && !co.timer.Stop() {
-			<-co.timer.C
-		}
-	}()
 	for len(batch) < s.opts.MaxBatch {
 		select {
 		case r := <-s.queue:
 			batch = append(batch, r)
-		case <-co.timer.C:
-			fired = true
-			return batch
-		case <-ctx.Done():
+		default:
 			return batch
 		}
 	}
@@ -532,7 +450,9 @@ func (s *Server) flush(ctx context.Context, co *coalescer, batch []*request) {
 				// trace gets it as its predict span (the finer featurize/
 				// predict split shows up on traced /estimate_batch calls,
 				// which carry their context into the library).
-				r.tr.AddSpan("predict", fmt.Sprintf("batch=%d", len(group)), groupStart)
+				if r.tr != nil {
+					r.tr.AddSpan("predict", fmt.Sprintf("batch=%d", len(group)), groupStart)
+				}
 				r.reply <- result{ms: ms[i]}
 			}
 			continue

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,7 +95,7 @@ func testSQL(i int) string {
 // exactly the library's EstimateSQL predictions.
 func TestHTTPParityUnderConcurrentLoad(t *testing.T) {
 	est := testEstimator(t)
-	_, ts := startServer(t, Options{MaxBatch: 16, BatchWindow: 5 * time.Millisecond})
+	_, ts := startServer(t, Options{MaxBatch: 16})
 
 	const n = 48
 	envs := est.Environments()
@@ -177,7 +178,7 @@ func TestBatchEndpointParity(t *testing.T) {
 // flushes than requests.
 func TestCoalescing(t *testing.T) {
 	est := testEstimator(t)
-	srv := New(est, Options{MaxBatch: 64, BatchWindow: time.Millisecond})
+	srv := New(est, Options{MaxBatch: 64})
 	env := est.Environments()[0]
 
 	const n = 24
@@ -226,7 +227,7 @@ func TestCoalescing(t *testing.T) {
 // fails only its own request; companions still get exact predictions.
 func TestErrorIsolation(t *testing.T) {
 	est := testEstimator(t)
-	srv := New(est, Options{MaxBatch: 8, BatchWindow: time.Millisecond})
+	srv := New(est, Options{MaxBatch: 8})
 	env := est.Environments()[0]
 
 	sqls := []string{testSQL(0), "THIS IS NOT SQL", testSQL(2)}
@@ -272,8 +273,8 @@ func TestErrorIsolation(t *testing.T) {
 // TestLoneMissSelfClocking: with default Options the coalescer prices a
 // miss the moment it is picked up instead of holding its batch open for
 // companions. Fifty sequential misses over a zero-cost estimator finish
-// in well under a millisecond each — a 2 ms batch window alone would
-// take 100 ms — and each is its own one-request batch.
+// in well under a millisecond each, and each is its own one-request
+// batch.
 func TestLoneMissSelfClocking(t *testing.T) {
 	fake := &stormEstimator{env: &qcfe.Environment{ID: 0}}
 	srv := New(fake, Options{})
@@ -289,7 +290,7 @@ func TestLoneMissSelfClocking(t *testing.T) {
 		}
 	}
 	if el := time.Since(start); el >= 50*time.Millisecond {
-		t.Fatalf("%d sequential misses took %v, want < 50ms (is a lone miss waiting out a batch window?)", n, el)
+		t.Fatalf("%d sequential misses took %v, want < 50ms (is a lone miss waiting for companions?)", n, el)
 	}
 	if st := srv.Stats(); st.Flushes != n || st.MeanBatch != 1 {
 		t.Fatalf("flushes = %d, mean batch = %v; want %d one-request batches", st.Flushes, st.MeanBatch, n)
@@ -439,5 +440,93 @@ func TestShutdownFailsPending(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("pending request hung across shutdown")
+	}
+}
+
+// stormEstimator is a zero-cost fake that counts solo-fallback calls,
+// so the shutdown test can prove cancellation never triggers the O(n)
+// sequential re-pricing storm. With entered set, its batch path signals
+// entry and then blocks until ctx is done, failing with the context's
+// own error exactly like the library's.
+type stormEstimator struct {
+	env     *qcfe.Environment
+	entered chan struct{}
+	solo    atomic.Int64
+}
+
+func (f *stormEstimator) ModelName() string                                        { return "storm" }
+func (f *stormEstimator) BenchmarkName() string                                    { return "fake" }
+func (f *stormEstimator) Environments() []*qcfe.Environment                        { return []*qcfe.Environment{f.env} }
+func (f *stormEstimator) Generation() uint64                                       { return 1 }
+func (f *stormEstimator) CachedEstimate(*qcfe.Environment, string) (float64, bool) { return 0, false }
+func (f *stormEstimator) CacheStats() (qcfe.CacheStats, bool) {
+	return qcfe.CacheStats{}, false
+}
+func (f *stormEstimator) EstimateSQL(*qcfe.Environment, string) (float64, error) {
+	f.solo.Add(1)
+	return 1, nil
+}
+func (f *stormEstimator) EstimateSQLBatchCtx(ctx context.Context, _ *qcfe.Environment, sqls []string) ([]float64, error) {
+	if f.entered != nil {
+		f.entered <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	ms := make([]float64, len(sqls))
+	for i := range ms {
+		ms[i] = 1
+	}
+	return ms, nil
+}
+
+// TestShutdownNoFallbackStorm: when the serving context is cancelled
+// while a micro-batch is being priced, the batch must fail fast with
+// the context's error — the per-request solo fallback (meant for query
+// faults) must never re-price a batch that only failed because the
+// server is shutting down.
+func TestShutdownNoFallbackStorm(t *testing.T) {
+	fake := &stormEstimator{env: &qcfe.Environment{ID: 0}, entered: make(chan struct{}, 1)}
+	srv := New(fake, Options{MaxBatch: 64})
+
+	const n = 8
+	errc := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			_, err := srv.Estimate(context.Background(), 0, fmt.Sprintf("SELECT %d", i))
+			errc <- err
+		}(i)
+	}
+	// Park every request in the queue before the batcher starts, so the
+	// first flush carries all n of them into the blocking batch call.
+	for len(srv.queue) < n {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+	select {
+	case <-fake.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("batcher never entered the batch call")
+	}
+	cancel()
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-errc:
+			if err == nil || !strings.Contains(err.Error(), "shutting down") {
+				t.Fatalf("request err = %v, want shutdown error", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("request %d hung across shutdown (fallback storm?)", i)
+		}
+	}
+	if err := <-runDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v", err)
+	}
+	if got := fake.solo.Load(); got != 0 {
+		t.Fatalf("solo fallback ran %d times during shutdown, want 0", got)
+	}
+	if st := srv.Stats(); st.Errors != n {
+		t.Fatalf("errors = %d, want %d", st.Errors, n)
 	}
 }

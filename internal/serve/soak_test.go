@@ -49,25 +49,8 @@ func soakDuration(t *testing.T) time.Duration {
 //
 // Run under -race in CI, this is also the data-race proof for the
 // whole swap path (atomic pointer, generation store, CLOCK shards).
-//
-// The soak runs once over the serial coalescer and once with the staged
-// pipeline enabled (half the budget each), so the mid-soak hot swaps
-// also exercise batches in flight across pipeline stages — the
-// single-snapshot-per-reply half of the pipelined contract.
 func TestSoakSwapUnderLoad(t *testing.T) {
-	dur := soakDuration(t) / 2
-	base := Options{MaxBatch: 32, BatchWindow: 500 * time.Microsecond}
-	t.Run("serial", func(t *testing.T) { soakSwapUnderLoad(t, dur, base) })
-	t.Run("pipelined", func(t *testing.T) {
-		opts := base
-		opts.PipelineDepth = 4
-		opts.FeaturizeWorkers = 2
-		opts.PredictWorkers = 2
-		soakSwapUnderLoad(t, dur, opts)
-	})
-}
-
-func soakSwapUnderLoad(t *testing.T, dur time.Duration, opts Options) {
+	dur := soakDuration(t)
 	estA := cachedCopy(t) // owns the cache initially
 	estB, err := testEstimator(t).Adapt(soakWindow(t), 25)
 	if err != nil {
@@ -101,7 +84,7 @@ func soakSwapUnderLoad(t *testing.T, dur time.Duration, opts Options) {
 		wantB[env.ID] = b
 	}
 
-	srv := New(estA, opts)
+	srv := New(estA, Options{MaxBatch: 32})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { srv.Run(ctx); close(done) }()
