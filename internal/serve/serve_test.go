@@ -483,8 +483,13 @@ func (f *stormEstimator) EstimateSQLBatchCtx(ctx context.Context, _ *qcfe.Enviro
 // while a micro-batch is being priced, the batch must fail fast with
 // the context's error — the per-request solo fallback (meant for query
 // faults) must never re-price a batch that only failed because the
-// server is shutting down.
+// server is shutting down. The check runs as the "serial" subtest,
+// named for the single serial coalescer it drives.
 func TestShutdownNoFallbackStorm(t *testing.T) {
+	t.Run("serial", shutdownNoFallbackStorm)
+}
+
+func shutdownNoFallbackStorm(t *testing.T) {
 	fake := &stormEstimator{env: &qcfe.Environment{ID: 0}, entered: make(chan struct{}, 1)}
 	srv := New(fake, Options{MaxBatch: 64})
 

@@ -49,8 +49,14 @@ func soakDuration(t *testing.T) time.Duration {
 //
 // Run under -race in CI, this is also the data-race proof for the
 // whole swap path (atomic pointer, generation store, CLOCK shards).
+//
+// The soak runs as the "serial" subtest, named for the single serial
+// coalescer it drives, with the whole soak budget.
 func TestSoakSwapUnderLoad(t *testing.T) {
-	dur := soakDuration(t)
+	t.Run("serial", func(t *testing.T) { soakSwapUnderLoad(t, soakDuration(t)) })
+}
+
+func soakSwapUnderLoad(t *testing.T, dur time.Duration) {
 	estA := cachedCopy(t) // owns the cache initially
 	estB, err := testEstimator(t).Adapt(soakWindow(t), 25)
 	if err != nil {
