@@ -44,8 +44,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -151,11 +149,7 @@ func run(rt *router.Router, urls []string, addr string, rollout bool) error {
 	defer stop()
 	go rt.Run(ctx)
 
-	httpSrv := &http.Server{
-		Addr:        addr,
-		Handler:     rt.Handler(),
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	httpSrv := obs.NewServer(ctx, addr, rt.Handler())
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Printf("qcfe-router: listening on %s\n", addr)

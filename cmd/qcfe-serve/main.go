@@ -73,7 +73,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -309,13 +308,9 @@ func run(artifactPath, addr string, opts serve.Options, copts *qcfe.CacheOptions
 // serveHTTP runs the HTTP front end until ctx (the signal context) is
 // cancelled, then shuts down gracefully.
 func serveHTTP(ctx context.Context, addr string, h http.Handler) error {
-	httpSrv := &http.Server{
-		Addr:    addr,
-		Handler: h,
-		// Request contexts descend from the signal context, so shutdown
-		// cancels in-flight planning fan-outs too.
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	// Request contexts descend from the signal context, so shutdown
+	// cancels in-flight planning fan-outs too.
+	httpSrv := obs.NewServer(ctx, addr, h)
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Printf("qcfe-serve: listening on %s\n", addr)

@@ -14,9 +14,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/dbenv"
@@ -220,22 +221,7 @@ func (e *Executor) execSort(n *planner.Node) ([]catalog.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]catalog.Row, len(in))
-	copy(rows, in)
-	cols, desc := n.SortCols, n.SortDesc
-	sort.SliceStable(rows, func(i, j int) bool {
-		for k, c := range cols {
-			cmp := rows[i][c].Compare(rows[j][c])
-			if cmp == 0 {
-				continue
-			}
-			if desc[k] {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	})
+	rows := sortRows(in, n.SortCols, n.SortDesc)
 	nn := int64(len(rows))
 	comparisons := nn * ceilLog2(nn)
 	bytes := nn * int64(n.EstWidth)
@@ -261,16 +247,9 @@ func (e *Executor) execHashJoin(n *planner.Node) ([]catalog.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := make(map[catalog.Value][]catalog.Row, len(right))
-	rc := n.JoinRightCol
-	for _, r := range right {
-		k := r[rc]
-		if k.Null {
-			continue
-		}
-		build[k] = append(build[k], r)
-	}
+	heads, next := chainByKey(right, n.JoinRightCol)
 	var out []catalog.Row
+	var slab rowSlab
 	var matches int64
 	lc := n.JoinLeftCol
 	for _, l := range left {
@@ -278,9 +257,10 @@ func (e *Executor) execHashJoin(n *planner.Node) ([]catalog.Row, error) {
 		if k.Null {
 			continue
 		}
-		for _, r := range build[k] {
+		r, ok := heads[k]
+		for ; ok && r >= 0; r = next[r] {
 			matches++
-			out = append(out, concatRows(l, r))
+			out = append(out, slab.concat(l, right[r]))
 		}
 		if len(out) > maxJoinRows {
 			return nil, fmt.Errorf("engine: hash join result exceeds %d rows", maxJoinRows)
@@ -313,6 +293,7 @@ func (e *Executor) execMergeJoin(n *planner.Node) ([]catalog.Row, error) {
 	}
 	lc, rc := n.JoinLeftCol, n.JoinRightCol
 	var out []catalog.Row
+	var slab rowSlab
 	var matches int64
 	i, j := 0, 0
 	for i < len(left) && j < len(right) {
@@ -339,7 +320,7 @@ func (e *Executor) execMergeJoin(n *planner.Node) ([]catalog.Row, error) {
 			for a := i; a < i2; a++ {
 				for b := j; b < j2; b++ {
 					matches++
-					out = append(out, concatRows(left[a], right[b]))
+					out = append(out, slab.concat(left[a], right[b]))
 				}
 			}
 			if len(out) > maxJoinRows {
@@ -364,7 +345,8 @@ func (e *Executor) execMergeJoin(n *planner.Node) ([]catalog.Row, error) {
 // For equi-joins the matching inner rows are located via a hash table so
 // the *computation* stays bounded, while the *charged* tuple count is the
 // full n1·n2 scan the operator logically performs — the simulation rule
-// documented in DESIGN.md.
+// described in docs/ARCHITECTURE.md §1 ("What the engine computes versus
+// what it charges").
 func (e *Executor) execNestedLoop(n *planner.Node) ([]catalog.Row, error) {
 	outer, err := e.exec(n.Children[0])
 	if err != nil {
@@ -374,21 +356,17 @@ func (e *Executor) execNestedLoop(n *planner.Node) ([]catalog.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc := n.JoinRightCol
-	byKey := make(map[catalog.Value][]catalog.Row, len(inner))
-	for _, r := range inner {
-		if !r[rc].Null {
-			byKey[r[rc]] = append(byKey[r[rc]], r)
-		}
-	}
+	heads, next := chainByKey(inner, n.JoinRightCol)
 	var out []catalog.Row
+	var slab rowSlab
 	lc := n.JoinLeftCol
 	for _, l := range outer {
 		if l[lc].Null {
 			continue
 		}
-		for _, r := range byKey[l[lc]] {
-			out = append(out, concatRows(l, r))
+		r, ok := heads[l[lc]]
+		for ; ok && r >= 0; r = next[r] {
+			out = append(out, slab.concat(l, inner[r]))
 		}
 		if len(out) > maxJoinRows {
 			return nil, fmt.Errorf("engine: nested loop result exceeds %d rows", maxJoinRows)
@@ -562,10 +540,83 @@ func matchAll(preds []planner.CompiledPred, row catalog.Row) bool {
 	return true
 }
 
-func concatRows(a, b catalog.Row) catalog.Row {
-	out := make(catalog.Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
+// sortRows returns rows ordered by cols (desc[k] reverses column k),
+// stably: rows equal on every key keep their input order. It sorts an
+// int32 permutation with pdqsort rather than moving row headers, and the
+// comparator breaks key ties by input index — a total order, so the
+// result is exactly what a stable sort produces. The input is not
+// modified.
+func sortRows(rows []catalog.Row, cols []int, desc []bool) []catalog.Row {
+	perm := make([]int32, len(rows))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		ra, rb := rows[a], rows[b]
+		for k, c := range cols {
+			if d := ra[c].Compare(rb[c]); d != 0 {
+				if desc[k] {
+					return -d
+				}
+				return d
+			}
+		}
+		return cmp.Compare(a, b)
+	})
+	out := make([]catalog.Row, len(rows))
+	for i, p := range perm {
+		out[i] = rows[p]
+	}
+	return out
+}
+
+// chainByKey indexes rows by their non-NULL column-c value as hash
+// chains: heads maps a key to its first row and next[i] names the row
+// after i with the same key (-1 ends a chain). Chains run in input order,
+// so a probe visits its matches in the same order as a map of appended
+// row slices would, without allocating a slice per key.
+func chainByKey(rows []catalog.Row, c int) (heads map[catalog.Value]int32, next []int32) {
+	heads = make(map[catalog.Value]int32, len(rows))
+	next = make([]int32, len(rows))
+	for i := len(rows) - 1; i >= 0; i-- {
+		k := rows[i][c]
+		if k.Null {
+			continue
+		}
+		if h, ok := heads[k]; ok {
+			next[i] = h
+		} else {
+			next[i] = -1
+		}
+		heads[k] = int32(i)
+	}
+	return heads, next
+}
+
+// slabRows caps how many join output rows share one backing chunk.
+const slabRows = 128
+
+// rowSlab hands out join output rows carved from shared []catalog.Value
+// chunks, so a join allocates once per chunk instead of once per output
+// row. Chunks start small and double up to slabRows rows, so a join that
+// emits a handful of rows does not pay for a full chunk. Every row is
+// capped at its own length (s[lo:hi:hi]): an append to a handed-out row
+// copies it and never writes into its neighbour.
+type rowSlab struct {
+	buf  []catalog.Value
+	rows int // rows per chunk of the current buf
+}
+
+// concat returns a followed by b as one row carved from the slab.
+func (s *rowSlab) concat(a, b catalog.Row) catalog.Row {
+	w := len(a) + len(b)
+	if cap(s.buf)-len(s.buf) < w {
+		s.rows = min(max(2*s.rows, 8), slabRows)
+		s.buf = make([]catalog.Value, 0, s.rows*w)
+	}
+	lo := len(s.buf)
+	s.buf = append(append(s.buf, a...), b...)
+	return s.buf[lo:len(s.buf):len(s.buf)]
 }
 
 func ceilLog2(n int64) int64 {

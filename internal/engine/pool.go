@@ -22,7 +22,8 @@ type PoolTask struct {
 }
 
 // PoolResult is one task's outcome. OK is false when the query failed to
-// parse, plan, or execute; the pipeline treats those as skipped.
+// parse, plan, or execute — or panicked doing so; the pipeline treats
+// those as skipped.
 type PoolResult struct {
 	Node *planner.Node
 	Ms   float64
@@ -38,7 +39,9 @@ type PoolResult struct {
 // (executors are not shareable across goroutines; the database, stats,
 // and environments are read-only under execution). Because every task
 // carries its own noise sequence and results land in index-addressed
-// slots, the output is bit-identical at any worker count.
+// slots, the output is bit-identical at any worker count. A panic inside
+// one task is recovered and fails that task alone (OK: false), so one
+// poison query cannot take down a collection or the process running it.
 func ExecutePool(schema *catalog.Schema, stats *catalog.Stats, db *storage.Database, tasks []PoolTask, workers int) []PoolResult {
 	res, _ := ExecutePoolCtx(context.Background(), schema, stats, db, tasks, workers)
 	return res
@@ -57,6 +60,10 @@ func ExecutePoolCtx(ctx context.Context, schema *catalog.Schema, stats *catalog.
 	states := make([]map[int]*envState, w)
 	results := make([]PoolResult, len(tasks))
 	err := parallel.ForEachWorkerCtx(ctx, len(tasks), w, func(worker, ti int) {
+		// results[ti] is written only on success, so a recovered panic
+		// leaves it not-OK. Planners and executors hold no per-query
+		// state, so the worker's cached ones stay usable.
+		defer func() { _ = recover() }()
 		t := tasks[ti]
 		if states[worker] == nil {
 			states[worker] = make(map[int]*envState)

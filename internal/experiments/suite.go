@@ -9,8 +9,12 @@
 // parallel runs do not interleave lines. RunAll fans independent runners
 // out over the worker pool.
 //
-// The experiment → module mapping lives in DESIGN.md; the measured-vs-paper
-// comparison lives in EXPERIMENTS.md.
+// Which grid each runner fans out over (Table IV's cells, the ablation
+// arms of Figure 6 and Table V, the probes of Figures 1 and 7) and which
+// runners stay serial because they measure wall time is described in
+// docs/ARCHITECTURE.md §3 ("The concurrency model"); the cost identity
+// every label comes from is §1. Each runner's doc comment names the
+// figure or table it regenerates.
 package experiments
 
 import (

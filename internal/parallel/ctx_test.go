@@ -85,3 +85,45 @@ func TestDoCtx(t *testing.T) {
 		t.Fatalf("err=%v ran=%d", err, ran.Load())
 	}
 }
+
+// TestWorkerPanicReraisedOnCaller: a panic on a pool worker surfaces on
+// the calling goroutine, where a recover can catch it, and only after
+// every running task has returned.
+func TestWorkerPanicReraisedOnCaller(t *testing.T) {
+	var inflight atomic.Int64
+	caught := func() (r any) {
+		defer func() { r = recover() }()
+		ForEachWorkerCtx(context.Background(), 1000, 4, func(_, i int) {
+			inflight.Add(1)
+			defer inflight.Add(-1)
+			if i == 7 {
+				panic("boom")
+			}
+		})
+		return nil
+	}()
+	wp, ok := caught.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %T %v, want *WorkerPanic", caught, caught)
+	}
+	if wp.Value != "boom" || len(wp.Stack) == 0 {
+		t.Fatalf("WorkerPanic = %v with %d-byte stack, want value boom and a stack", wp.Value, len(wp.Stack))
+	}
+	if n := inflight.Load(); n != 0 {
+		t.Fatalf("%d tasks still running when the panic surfaced", n)
+	}
+	// An error panic value stays reachable through errors.Is.
+	boom := errors.New("boom")
+	caught = func() (r any) {
+		defer func() { r = recover() }()
+		_ = ForEachCtx(context.Background(), 100, 3, func(i int) {
+			if i == 50 {
+				panic(boom)
+			}
+		})
+		return nil
+	}()
+	if err, ok := caught.(error); !ok || !errors.Is(err, boom) {
+		t.Fatalf("recovered %v, want an error wrapping boom", caught)
+	}
+}

@@ -17,7 +17,9 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -67,12 +69,37 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	ForEachWorkerCtx(context.Background(), n, workers, fn)
 }
 
+// WorkerPanic is the value ForEachWorkerCtx re-panics with on the calling
+// goroutine when fn panicked on a pool worker: the worker's panic value
+// and its stack at the time of the panic.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("parallel: worker panic: %v\n%s", p.Value, p.Stack)
+}
+
+// Unwrap returns the panic value when it is an error.
+func (p *WorkerPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
 // ForEachWorkerCtx is ForEachWorker with cooperative cancellation: every
 // worker checks ctx before claiming each task and stops claiming once ctx
 // is cancelled. Tasks already running are allowed to finish — fn is never
 // interrupted mid-call — so when ForEachWorkerCtx returns, no fn is still
 // executing. It returns ctx's error when cancellation kept at least the
 // task claim loop from completing, nil when every task ran.
+//
+// A panic in fn never escapes on a pool goroutine, where no caller could
+// recover it: the first one is captured as a *WorkerPanic, the workers
+// stop claiming tasks, and once the pool has drained ForEachWorkerCtx
+// re-panics with it on the calling goroutine, so the caller's own recover
+// (net/http's, say) sees it. With one worker fn runs on the calling
+// goroutine and its panic propagates as is.
 func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -91,12 +118,18 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int
 		return nil
 	}
 	var next atomic.Int64
+	var panicked atomic.Pointer[WorkerPanic]
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for g := 0; g < w; g++ {
 		go func(worker int) {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &WorkerPanic{Value: r, Stack: debug.Stack()})
+				}
+			}()
+			for ctx.Err() == nil && panicked.Load() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -106,6 +139,9 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int
 		}(g)
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 	if int(next.Load()) < n {
 		return ctx.Err()
 	}
