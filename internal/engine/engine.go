@@ -247,15 +247,7 @@ func (e *Executor) execHashJoin(n *planner.Node) ([]catalog.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := make(map[catalog.Value][]catalog.Row, len(right))
-	rc := n.JoinRightCol
-	for _, r := range right {
-		k := r[rc]
-		if k.Null {
-			continue
-		}
-		build[k] = append(build[k], r)
-	}
+	heads, next := chainByKey(right, n.JoinRightCol)
 	var out []catalog.Row
 	var slab rowSlab
 	var matches int64
@@ -265,9 +257,10 @@ func (e *Executor) execHashJoin(n *planner.Node) ([]catalog.Row, error) {
 		if k.Null {
 			continue
 		}
-		for _, r := range build[k] {
+		r, ok := heads[k]
+		for ; ok && r >= 0; r = next[r] {
 			matches++
-			out = append(out, slab.concat(l, r))
+			out = append(out, slab.concat(l, right[r]))
 		}
 		if len(out) > maxJoinRows {
 			return nil, fmt.Errorf("engine: hash join result exceeds %d rows", maxJoinRows)
@@ -363,13 +356,7 @@ func (e *Executor) execNestedLoop(n *planner.Node) ([]catalog.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc := n.JoinRightCol
-	byKey := make(map[catalog.Value][]catalog.Row, len(inner))
-	for _, r := range inner {
-		if !r[rc].Null {
-			byKey[r[rc]] = append(byKey[r[rc]], r)
-		}
-	}
+	heads, next := chainByKey(inner, n.JoinRightCol)
 	var out []catalog.Row
 	var slab rowSlab
 	lc := n.JoinLeftCol
@@ -377,8 +364,9 @@ func (e *Executor) execNestedLoop(n *planner.Node) ([]catalog.Row, error) {
 		if l[lc].Null {
 			continue
 		}
-		for _, r := range byKey[l[lc]] {
-			out = append(out, slab.concat(l, r))
+		r, ok := heads[l[lc]]
+		for ; ok && r >= 0; r = next[r] {
+			out = append(out, slab.concat(l, inner[r]))
 		}
 		if len(out) > maxJoinRows {
 			return nil, fmt.Errorf("engine: nested loop result exceeds %d rows", maxJoinRows)
@@ -580,6 +568,29 @@ func sortRows(rows []catalog.Row, cols []int, desc []bool) []catalog.Row {
 		out[i] = rows[p]
 	}
 	return out
+}
+
+// chainByKey indexes rows by their non-NULL column-c value as hash
+// chains: heads maps a key to its first row and next[i] names the row
+// after i with the same key (-1 ends a chain). Chains run in input order,
+// so a probe visits its matches in the same order as a map of appended
+// row slices would, without allocating a slice per key.
+func chainByKey(rows []catalog.Row, c int) (heads map[catalog.Value]int32, next []int32) {
+	heads = make(map[catalog.Value]int32, len(rows))
+	next = make([]int32, len(rows))
+	for i := len(rows) - 1; i >= 0; i-- {
+		k := rows[i][c]
+		if k.Null {
+			continue
+		}
+		if h, ok := heads[k]; ok {
+			next[i] = h
+		} else {
+			next[i] = -1
+		}
+		heads[k] = int32(i)
+	}
+	return heads, next
 }
 
 // slabRows caps how many join output rows share one backing chunk.
