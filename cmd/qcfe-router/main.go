@@ -21,7 +21,7 @@
 //	GET  /metrics                                       → Prometheus text exposition
 //	GET  /trace/recent                                  → recent finished request traces
 //	GET  /version                                       → build identification
-//	GET  /debug/pprof/    admin: net/http/pprof profiles
+//	GET  /debug/pprof/    admin: net/http/pprof profiles (seconds < 120)
 //
 // Replica faults (connection errors, 5xx, hangs past -timeout) trip a
 // per-replica circuit breaker after -breaker-threshold consecutive

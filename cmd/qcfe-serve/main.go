@@ -22,7 +22,7 @@
 //	GET  /metrics                                       → Prometheus text exposition
 //	GET  /trace/recent                                  → recent finished request traces
 //	GET  /version                                       → build identification
-//	GET  /debug/pprof/    admin: net/http/pprof profiles
+//	GET  /debug/pprof/    admin: net/http/pprof profiles (seconds < 120)
 //
 // The admin endpoints exist for qcfe-router's canary-gated fleet
 // rollouts and are enabled by -admin-token (disabled with 403 when the

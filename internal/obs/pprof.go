@@ -10,7 +10,8 @@ import (
 // daemon has no token configured (profiling surface disabled — the
 // safe default), 401 on a missing or wrong X-QCFE-Admin-Token. Mount
 // it at /debug/pprof/ on a daemon's own mux; the global
-// http.DefaultServeMux is never touched.
+// http.DefaultServeMux is never touched. Under NewServer a profile or
+// trace must ask for fewer seconds than WriteTimeout (2 minutes).
 func PprofHandler(adminToken string) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -17,9 +17,10 @@ const (
 	ReadTimeout = time.Minute
 	// WriteTimeout bounds a handler plus its reply, from the end of the
 	// request headers. It stays above the 30 s default of
-	// /debug/pprof/profile, which refuses durations at or over it, and
-	// above a canary rollout across a small fleet at the router's default
-	// per-replica timeout.
+	// /debug/pprof/profile; pprof refuses a profile or trace of this
+	// length or more, so captures are capped below 2 minutes. A handler
+	// that legitimately runs longer moves its own write deadline, as the
+	// router's /rollout does.
 	WriteTimeout = 2 * time.Minute
 	// IdleTimeout bounds how long a keep-alive connection waits for its
 	// next request.

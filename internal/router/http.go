@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -106,6 +107,12 @@ func (rt *Router) Handler() http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
+		// A rollout with bakes or many replicas outlives the server's
+		// WriteTimeout, and a reply cut off after the fleet committed
+		// would leave the operator unable to tell what happened. Move
+		// this reply's write deadline past the longest the rollout can
+		// take, plus the usual budget for the reply itself.
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(rt.rolloutBudget() + obs.WriteTimeout))
 		res, err := rt.Rollout(r.Context(), req)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)

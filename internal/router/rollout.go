@@ -139,6 +139,14 @@ func (rt *Router) Rollout(ctx context.Context, req RolloutRequest) (RolloutResul
 	return res, nil
 }
 
+// rolloutBudget bounds how long Rollout runs: a stage and a commit per
+// replica with a bake between commits, one canary abort, and a rollback
+// of every committed replica, each round trip capped at Timeout.
+func (rt *Router) rolloutBudget() time.Duration {
+	n := time.Duration(len(rt.replicas))
+	return n*(3*rt.opts.Timeout+rt.opts.RolloutBakeTime) + rt.opts.Timeout
+}
+
 // rollbackCommitted unwinds already-committed replicas in reverse
 // commit order and returns the generation the fleet is back on (from
 // the last successful rollback reply; "" when nothing was committed).

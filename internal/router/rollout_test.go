@@ -7,11 +7,13 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -263,6 +265,52 @@ func TestRolloutRequiresToken(t *testing.T) {
 		if swaps := srv.Stats().Swaps; swaps != 0 {
 			t.Fatalf("replica %d Swaps = %d after rejected rollouts, want 0", i, swaps)
 		}
+	}
+}
+
+// TestRolloutReplyOutlivesWriteTimeout: a rollout whose bakes run past
+// the server's WriteTimeout still delivers its reply, so the operator
+// learns that the fleet committed. The server is the daemons' own
+// obs.NewServer with WriteTimeout shortened to keep the test fast; the
+// /rollout handler must move its write deadline past the rollout.
+func TestRolloutReplyOutlivesWriteTimeout(t *testing.T) {
+	const bake = 600 * time.Millisecond
+	f := startFleet(t, 2, nil)
+	rt := newTestRouter(t, f, Options{RolloutBakeTime: bake})
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = obs.NewServer(context.Background(), "", rt.Handler())
+	ts.Config.WriteTimeout = bake / 3
+	ts.Start()
+	defer ts.Close()
+
+	next, artifact := adaptedArtifact(t)
+	body, err := json.Marshal(RolloutRequest{
+		ArtifactB64: base64.StdEncoding.EncodeToString(artifact),
+		CanarySQLs:  canaryProbes(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/rollout", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-QCFE-Admin-Token", testToken)
+	start := time.Now()
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatalf("rollout reply lost after %v (server WriteTimeout %v): %v", time.Since(start), ts.Config.WriteTimeout, err)
+	}
+	defer resp.Body.Close()
+	var res RolloutResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatalf("rollout reply unreadable: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < bake {
+		t.Fatalf("rollout took %v, shorter than its %v bake", elapsed, bake)
+	}
+	if nextGen := serve.GenerationString(next.Generation()); resp.StatusCode != http.StatusOK || !res.OK || res.Generation != nextGen {
+		t.Fatalf("rollout reply %d %+v, want ok on generation %s", resp.StatusCode, res, nextGen)
 	}
 }
 
