@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"log"
+	"runtime/debug"
 
 	"repro/internal/catalog"
 	"repro/internal/dbenv"
@@ -23,11 +25,13 @@ type PoolTask struct {
 
 // PoolResult is one task's outcome. OK is false when the query failed to
 // parse, plan, or execute — or panicked doing so; the pipeline treats
-// those as skipped.
+// those as skipped. Panic holds the recovered value and stack of a task
+// that panicked, nil otherwise.
 type PoolResult struct {
-	Node *planner.Node
-	Ms   float64
-	OK   bool
+	Node  *planner.Node
+	Ms    float64
+	OK    bool
+	Panic *parallel.WorkerPanic
 }
 
 // ExecutePool runs labeling tasks across a bounded worker pool and
@@ -42,6 +46,9 @@ type PoolResult struct {
 // slots, the output is bit-identical at any worker count. A panic inside
 // one task is recovered and fails that task alone (OK: false), so one
 // poison query cannot take down a collection or the process running it.
+// A panic is an engine bug, not a bad query, so it is never silent: the
+// task's result carries it, and the pool logs the count and the first
+// panic's value and stack to the standard logger.
 func ExecutePool(schema *catalog.Schema, stats *catalog.Stats, db *storage.Database, tasks []PoolTask, workers int) []PoolResult {
 	res, _ := ExecutePoolCtx(context.Background(), schema, stats, db, tasks, workers)
 	return res
@@ -60,10 +67,14 @@ func ExecutePoolCtx(ctx context.Context, schema *catalog.Schema, stats *catalog.
 	states := make([]map[int]*envState, w)
 	results := make([]PoolResult, len(tasks))
 	err := parallel.ForEachWorkerCtx(ctx, len(tasks), w, func(worker, ti int) {
-		// results[ti] is written only on success, so a recovered panic
+		// results[ti] is marked OK only on success, so a recovered panic
 		// leaves it not-OK. Planners and executors hold no per-query
 		// state, so the worker's cached ones stay usable.
-		defer func() { _ = recover() }()
+		defer func() {
+			if r := recover(); r != nil {
+				results[ti].Panic = &parallel.WorkerPanic{Value: r, Stack: debug.Stack()}
+			}
+		}()
 		t := tasks[ti]
 		if states[worker] == nil {
 			states[worker] = make(map[int]*envState)
@@ -87,5 +98,24 @@ func ExecutePoolCtx(ctx context.Context, schema *catalog.Schema, stats *catalog.
 		}
 		results[ti] = PoolResult{Node: node, Ms: res.TotalMs, OK: true}
 	})
+	logPanics(results)
 	return results, err
+}
+
+// logPanics reports the tasks of one pool that panicked: how many, and
+// the first one's value and stack.
+func logPanics(results []PoolResult) {
+	var first *parallel.WorkerPanic
+	n := 0
+	for _, r := range results {
+		if r.Panic != nil {
+			if first == nil {
+				first = r.Panic
+			}
+			n++
+		}
+	}
+	if n > 0 {
+		log.Printf("engine: %d of %d labeling tasks panicked and count as failed queries; first: %v", n, len(results), first)
+	}
 }
