@@ -247,7 +247,15 @@ func (e *Executor) execHashJoin(n *planner.Node) ([]catalog.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	heads, next := chainByKey(right, n.JoinRightCol)
+	build := make(map[catalog.Value][]catalog.Row, len(right))
+	rc := n.JoinRightCol
+	for _, r := range right {
+		k := r[rc]
+		if k.Null {
+			continue
+		}
+		build[k] = append(build[k], r)
+	}
 	var out []catalog.Row
 	var slab rowSlab
 	var matches int64
@@ -257,10 +265,9 @@ func (e *Executor) execHashJoin(n *planner.Node) ([]catalog.Row, error) {
 		if k.Null {
 			continue
 		}
-		r, ok := heads[k]
-		for ; ok && r >= 0; r = next[r] {
+		for _, r := range build[k] {
 			matches++
-			out = append(out, slab.concat(l, right[r]))
+			out = append(out, slab.concat(l, r))
 		}
 		if len(out) > maxJoinRows {
 			return nil, fmt.Errorf("engine: hash join result exceeds %d rows", maxJoinRows)
@@ -356,7 +363,13 @@ func (e *Executor) execNestedLoop(n *planner.Node) ([]catalog.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	heads, next := chainByKey(inner, n.JoinRightCol)
+	rc := n.JoinRightCol
+	byKey := make(map[catalog.Value][]catalog.Row, len(inner))
+	for _, r := range inner {
+		if !r[rc].Null {
+			byKey[r[rc]] = append(byKey[r[rc]], r)
+		}
+	}
 	var out []catalog.Row
 	var slab rowSlab
 	lc := n.JoinLeftCol
@@ -364,9 +377,8 @@ func (e *Executor) execNestedLoop(n *planner.Node) ([]catalog.Row, error) {
 		if l[lc].Null {
 			continue
 		}
-		r, ok := heads[l[lc]]
-		for ; ok && r >= 0; r = next[r] {
-			out = append(out, slab.concat(l, inner[r]))
+		for _, r := range byKey[l[lc]] {
+			out = append(out, slab.concat(l, r))
 		}
 		if len(out) > maxJoinRows {
 			return nil, fmt.Errorf("engine: nested loop result exceeds %d rows", maxJoinRows)
@@ -570,49 +582,23 @@ func sortRows(rows []catalog.Row, cols []int, desc []bool) []catalog.Row {
 	return out
 }
 
-// chainByKey indexes rows by their non-NULL column-c value as hash
-// chains: heads maps a key to its first row and next[i] names the row
-// after i with the same key (-1 ends a chain). Chains run in input order,
-// so a probe visits its matches in the same order as a map of appended
-// row slices would, without allocating a slice per key.
-func chainByKey(rows []catalog.Row, c int) (heads map[catalog.Value]int32, next []int32) {
-	heads = make(map[catalog.Value]int32, len(rows))
-	next = make([]int32, len(rows))
-	for i := len(rows) - 1; i >= 0; i-- {
-		k := rows[i][c]
-		if k.Null {
-			continue
-		}
-		if h, ok := heads[k]; ok {
-			next[i] = h
-		} else {
-			next[i] = -1
-		}
-		heads[k] = int32(i)
-	}
-	return heads, next
-}
-
 // slabRows caps how many join output rows share one backing chunk.
 const slabRows = 128
 
 // rowSlab hands out join output rows carved from shared []catalog.Value
-// chunks, so a join allocates once per chunk instead of once per output
-// row. Chunks start small and double up to slabRows rows, so a join that
-// emits a handful of rows does not pay for a full chunk. Every row is
-// capped at its own length (s[lo:hi:hi]): an append to a handed-out row
-// copies it and never writes into its neighbour.
+// chunks of slabRows rows, so a join allocates once per chunk instead of
+// once per output row. Every row is capped at its own length
+// (s[lo:hi:hi]): an append to a handed-out row copies it and never
+// writes into its neighbour.
 type rowSlab struct {
-	buf  []catalog.Value
-	rows int // rows per chunk of the current buf
+	buf []catalog.Value
 }
 
 // concat returns a followed by b as one row carved from the slab.
 func (s *rowSlab) concat(a, b catalog.Row) catalog.Row {
 	w := len(a) + len(b)
 	if cap(s.buf)-len(s.buf) < w {
-		s.rows = min(max(2*s.rows, 8), slabRows)
-		s.buf = make([]catalog.Value, 0, s.rows*w)
+		s.buf = make([]catalog.Value, 0, slabRows*w)
 	}
 	lo := len(s.buf)
 	s.buf = append(append(s.buf, a...), b...)

@@ -191,8 +191,8 @@ func TestJoinAllocsBounded(t *testing.T) {
 		if n.ActualRows != int64(wantRows) {
 			t.Fatalf("%v: %d rows, want %d", op, n.ActualRows, wantRows)
 		}
-		if perRow := allocs / float64(wantRows); perRow > 0.05 {
-			t.Errorf("%v: %.0f allocs for %d output rows (%.3f per row), want at most 0.05 per row",
+		if perRow := allocs / float64(wantRows); perRow > 0.2 {
+			t.Errorf("%v: %.0f allocs for %d output rows (%.3f per row), want at most 0.2 per row",
 				op, allocs, wantRows, perRow)
 		}
 	}
